@@ -131,7 +131,7 @@ pub fn json_str(s: &str) -> String {
 }
 
 /// JSON number: finite floats as-is, non-finite as null (JSON has no NaN).
-pub fn json_num(x: f64) -> String {
+fn json_num(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {

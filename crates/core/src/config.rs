@@ -33,7 +33,7 @@ pub struct CleanConfig {
     /// Master-free mode (§1/§9): the master relation is a positional
     /// snapshot of the data itself, so MD evaluation must skip the tuple's
     /// own master row — a stale self copy would otherwise witness against
-    /// every fresh fix. Set by [`crate::pipeline::clean_without_master`].
+    /// every fresh fix. Forced on for [`crate::MasterSource::SelfSnapshot`].
     pub self_match: bool,
     /// Worker threads for the parallel phase internals (MD premise
     /// verification, 2-in-1 structure construction). `None` uses every

@@ -6,7 +6,7 @@
 //! unified fixpoint from scratch on every batch throws away everything the
 //! previous run learned. This module keeps that knowledge alive:
 //!
-//! * the **`cRepair` fixpoint** ([`CFixpoint`]) persists between calls.
+//! * the **`cRepair` fixpoint** (`CFixpoint`) persists between calls.
 //!   `cRepair` is a monotone, write-once inference whose outcome is
 //!   independent of rule-application order (§5.2), so appending a batch
 //!   and *continuing* the old fixpoint — seeding only the new tuples — is
@@ -17,12 +17,12 @@
 //!   ([`TwoInOne::insert_tuples`]), never by rebuild, and each `eRepair`
 //!   run works on a clone.
 //! * the **MD witness cache** persists across calls
-//!   ([`MdMatchCache::begin_run`]): premises untouched by any repair are
+//!   (`MdMatchCache::begin_run`): premises untouched by any repair are
 //!   never re-verified — re-verification is targeted at exactly the
 //!   tuples whose cells the batch or its cascade rewrote.
 //! * the **acceptance check** (`Dr ⊨ Σ`, `(Dr, Dm) ⊨ Γ`) — the single
 //!   most expensive part of a full `clean` call on MD-heavy workloads, an
-//!   O(|D|·|Dm|) scan — is maintained by [`ConsistencyIndex`]: per-tuple
+//!   O(|D|·|Dm|) scan — is maintained by `ConsistencyIndex`: per-tuple
 //!   MD verdicts and per-group CFD counters updated from the diff of the
 //!   final relations, so a delta call re-verifies only changed tuples.
 //!
@@ -32,7 +32,7 @@
 //! the state keeps those writes and refreshes the structures pinned to
 //! the old post-`cRepair` relation. What cannot be reproduced by a
 //! continuation is *conflicting asserted evidence racing for one cell*
-//! (the one order-dependent situation in `cRepair`): the [`CGuard`]
+//! (the one order-dependent situation in `cRepair`): the `CGuard`
 //! detects it and the state falls back to a full reclean of the
 //! concatenated relation. The [`MasterSource::SelfSnapshot`] mode always
 //! escalates — its master view is the evolving data itself, so nothing

@@ -26,9 +26,7 @@
 //!   the warm structures, bit-identical to a from-scratch reclean;
 //! * [`phase`] — the one [`Phase`] type (phase identity and pipeline
 //!   prefix selector, consolidated in 0.4);
-//! * [`pipeline`] — [`CleanResult`] and the deprecated pre-0.2 entry
-//!   points (`UniClean`, `clean_without_master`), now thin shims over the
-//!   session;
+//! * [`pipeline`] — [`CleanResult`], the result of one cleaning run;
 //! * [`master_index`] — blocked access to master data (exact hash index for
 //!   equality premises — interned to dense symbols on the fast path — and
 //!   the §5.2 LCS suffix-tree blocker for edit-distance premises);
@@ -71,8 +69,6 @@ pub use master_index::{IndexPolicy, MasterIndex, ProbeScratch};
 pub use parallel::effective_parallelism;
 pub use phase::Phase;
 pub use pipeline::CleanResult;
-#[allow(deprecated)]
-pub use pipeline::{clean_without_master, UniClean};
 pub use session::{
     Cleaner, CleanerBuilder, MasterSource, NoOpObserver, PhaseObserver, PhaseStats, PhaseTimings,
     PreparedCleaner,

@@ -9,7 +9,7 @@
 //! read-only work that dominates their running time:
 //!
 //! 1. **chunk** — tuples `0..|D|` are split into `p` contiguous ranges,
-//!    one scoped worker per range ([`map_chunks`]);
+//!    one scoped worker per range (`map_chunks`);
 //! 2. **merge** — each worker returns its results as a plain vector in
 //!    chunk order, so concatenation reproduces exactly the tuple-id order
 //!    a sequential scan would have produced;
@@ -92,7 +92,7 @@ where
 }
 
 /// Run `f` once per index `0..n` across up to `threads` scoped workers
-/// and return results **in index order**. Unlike [`map_chunks`] there is
+/// and return results **in index order**. Unlike `map_chunks` there is
 /// no minimum batch size: this is for a *small* number of *individually
 /// expensive* jobs (e.g. building the per-attribute access-path indexes
 /// of the master index), where even two items are worth two workers.

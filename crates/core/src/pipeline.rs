@@ -8,18 +8,12 @@
 //!
 //! The phase loop itself lives in [`crate::session`] behind the
 //! [`Cleaner`](crate::Cleaner) session API; this module keeps the phase
-//! selector ([`Phase`]), the run result ([`CleanResult`]) and the
-//! deprecated pre-0.2 entry points ([`UniClean`], [`clean_without_master`]),
-//! which are thin shims over the session.
-
-use std::marker::PhantomData;
+//! selector ([`Phase`]) and the run result ([`CleanResult`]).
 
 use uniclean_model::{FixMark, Relation};
-use uniclean_rules::RuleSet;
 
-use crate::config::CleanConfig;
 use crate::fix::FixReport;
-use crate::session::{Cleaner, MasterSource, PhaseStats};
+use crate::session::PhaseStats;
 
 // The phase selector historically lived here; it is now one type with the
 // phase identity (see `crate::phase`) and re-exported from both paths.
@@ -61,96 +55,14 @@ impl CleanResult {
     }
 }
 
-/// The pre-0.2 borrowed entry point, now a shim over [`Cleaner`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Cleaner::builder().rules(..).master(MasterSource::external(..)).build()` — \
-            it returns typed errors instead of panicking and owns its inputs"
-)]
-pub struct UniClean<'a> {
-    inner: Cleaner,
-    _borrowed: PhantomData<&'a RuleSet>,
-}
-
-#[allow(deprecated)]
-impl<'a> UniClean<'a> {
-    /// Prepare a cleaning run: validates the configuration and builds the
-    /// master-data access paths (§5.2) once, to be shared by all phases.
-    ///
-    /// # Panics
-    /// Panics on invalid configuration or MDs without a master relation —
-    /// the reason this constructor is deprecated. [`Cleaner::builder`]
-    /// reports the same conditions as [`crate::CleanError`] values.
-    ///
-    /// Validation is stricter than pre-0.2: zero round caps
-    /// (`max_erepair_rounds` / `max_hrepair_rounds`) and an external
-    /// master whose schema differs from the rule set's master schema were
-    /// silently accepted before and are rejected now.
-    pub fn new(rules: &'a RuleSet, master: Option<&'a Relation>, config: CleanConfig) -> Self {
-        let master = match master {
-            Some(dm) => MasterSource::external(dm.clone()),
-            None => MasterSource::None,
-        };
-        let inner = Cleaner::builder()
-            .rules(rules.clone())
-            .master(master)
-            .config(config)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"));
-        UniClean {
-            inner,
-            _borrowed: PhantomData,
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CleanConfig {
-        self.inner.config()
-    }
-
-    /// Clean `d`, running phases up to and including `phase`.
-    pub fn clean(&self, d: &Relation, phase: Phase) -> CleanResult {
-        self.inner.clean(d, phase)
-    }
-}
-
-/// Master-free cleaning (§1/§9), now a shim over
-/// [`MasterSource::SelfSnapshot`]: the data acts as its own master; before
-/// each phase a snapshot of the current relation is rendered into the MDs'
-/// master schema, so matches are found *within* `D` and each phase sees
-/// the previous phase's repairs.
-///
-/// # Panics
-/// Panics on invalid configuration or when the rule set lacks a mirroring
-/// master schema — the reason this function is deprecated. Use
-/// `Cleaner::builder().master(MasterSource::SelfSnapshot)` for the typed
-/// equivalent.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Cleaner::builder().rules(..).master(MasterSource::SelfSnapshot).build()`"
-)]
-pub fn clean_without_master(
-    rules: &RuleSet,
-    d: &Relation,
-    config: CleanConfig,
-    phase: Phase,
-) -> CleanResult {
-    Cleaner::builder()
-        .rules(rules.clone())
-        .master(MasterSource::SelfSnapshot)
-        .config(config)
-        .build()
-        .unwrap_or_else(|e| panic!("{e}"))
-        .clean(d, phase)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::MasterSource;
+    use crate::config::CleanConfig;
+    use crate::session::{Cleaner, MasterSource};
     use std::sync::Arc;
     use uniclean_model::{Schema, Tuple, TupleId, Value};
-    use uniclean_rules::parse_rules;
+    use uniclean_rules::{parse_rules, RuleSet};
 
     /// The full Example 1.1 scenario: master data Dm (Fig 1a), dirty D
     /// (Fig 1b), rules ϕ1–ϕ4 and ψ. The pipeline must discover the fraud:
@@ -363,46 +275,15 @@ mod tests {
         assert!(r.report.is_empty());
         assert!(r.consistent);
     }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "no master relation")]
-    fn deprecated_shim_panics_on_mds_without_master() {
-        let tran = Schema::of_strings("tran", &["LN", "phn"]);
-        let card = Schema::of_strings("card", &["LN", "tel"]);
-        let parsed = parse_rules(
-            "md m: tran[LN] = card[LN] -> tran[phn] <=> card[tel]",
-            &tran,
-            Some(&card),
-        )
-        .unwrap();
-        let rules = RuleSet::new(tran, Some(card), vec![], parsed.positive_mds, vec![]);
-        UniClean::new(&rules, None, CleanConfig::default());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_cleaner_output() {
-        let (_, _, rules, d, dm) = example_1_1();
-        let cfg = CleanConfig {
-            eta: 0.8,
-            ..CleanConfig::default()
-        };
-        let old = UniClean::new(&rules, Some(&dm), cfg.clone()).clean(&d, Phase::Full);
-        let new = cleaner(&rules, &dm, 0.8).clean(&d, Phase::Full);
-        assert_eq!(old.repaired.diff_cells(&new.repaired), 0);
-        assert_eq!(old.report.len(), new.report.len());
-        assert_eq!(old.cost, new.cost);
-        assert_eq!(old.consistent, new.consistent);
-    }
 }
 
 #[cfg(test)]
 mod self_matching_tests {
     use super::*;
-    use crate::session::MasterSource;
-    use uniclean_model::{FixMark, Schema, Tuple, TupleId, Value};
-    use uniclean_rules::parse_rules;
+    use crate::config::CleanConfig;
+    use crate::session::{Cleaner, MasterSource};
+    use uniclean_model::{Schema, Tuple, TupleId, Value};
+    use uniclean_rules::{parse_rules, RuleSet};
 
     fn self_cleaner(rules: &RuleSet, eta: f64) -> Cleaner {
         Cleaner::builder()
@@ -484,41 +365,5 @@ mod self_matching_tests {
             0.0,
             "no circular assertion"
         );
-    }
-
-    /// The deprecated free function and the session produce byte-identical
-    /// repairs.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_clean_without_master_matches_self_snapshot() {
-        let tran = Schema::of_strings("tran", &["LN", "city", "AC", "phn"]);
-        let selfm = Schema::of_strings("tranm", &["LN", "city", "AC", "phn"]);
-        let text = "cfd phi2: tran([AC=020] -> [city=Ldn])\n\
-                    md psi: tran[LN] = tranm[LN] AND tran[city] = tranm[city] -> tran[phn] <=> tranm[phn]";
-        let parsed = parse_rules(text, &tran, Some(&selfm)).unwrap();
-        let rules = RuleSet::new(
-            tran.clone(),
-            Some(selfm),
-            parsed.cfds,
-            parsed.positive_mds,
-            vec![],
-        );
-        let phn = tran.attr_id_or_panic("phn");
-        let mut a = Tuple::of_strs(&["Brady", "Edi", "020", "3887644"], 1.0);
-        let city = tran.attr_id_or_panic("city");
-        a.set(city, Value::str("Edi"), 0.0, FixMark::Untouched);
-        let mut b = Tuple::of_strs(&["Brady", "Ldn", "020", "0000000"], 1.0);
-        b.set(phn, Value::str("0000000"), 0.0, FixMark::Untouched);
-        let d = Relation::new(tran.clone(), vec![a, b]);
-
-        let cfg = CleanConfig {
-            eta: 0.8,
-            ..CleanConfig::default()
-        };
-        let old = clean_without_master(&rules, &d, cfg.clone(), Phase::Full);
-        let new = self_cleaner(&rules, 0.8).clean(&d, Phase::Full);
-        assert_eq!(old.repaired.diff_cells(&new.repaired), 0);
-        assert_eq!(old.report.len(), new.report.len());
-        assert_eq!(old.consistent, new.consistent);
     }
 }

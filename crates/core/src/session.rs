@@ -22,9 +22,8 @@
 //!   structures and warm caches. Created by [`Cleaner::begin`] and evolved
 //!   in place by [`Cleaner::clean_delta`] as batches arrive.
 //!
-//! Construction is fallible and typed: every misuse that used to panic
-//! (`expect`/`assert!` in `UniClean::new` and `clean_without_master`)
-//! is a [`CleanError`] from [`CleanerBuilder::build`]. A built `Cleaner`
+//! Construction is fallible and typed: every misuse is a [`CleanError`]
+//! from [`CleanerBuilder::build`], never a panic. A built `Cleaner`
 //! owns `Arc`s of its rules and master data, so it can live in a service
 //! and be shared across threads for many `clean` calls.
 //!

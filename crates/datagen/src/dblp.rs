@@ -122,8 +122,7 @@ pub fn dblp_workload(params: &GenParams) -> Workload {
 /// MDs whose premises are led by `~qgram`/`~jaro`/`~jw`/`~lev` conjuncts
 /// instead of entity-unique equalities. This is the workload where the
 /// engine previously fell back to O(|D|·|Dm|) scans for candidate
-/// generation; the `perf` benchmark measures the access-path planner on
-/// it (`BENCH_pr5.json`).
+/// generation; the `clean-dblp-sim` benchmark workload runs on it.
 pub fn dblp_similarity_workload(params: &GenParams) -> Workload {
     dblp_workload_with_rules(params, "dblp-sim", &similarity_rule_text(), None)
 }

@@ -226,8 +226,7 @@ impl ColumnStore {
     }
 
     /// Approximate heap footprint in bytes: columns plus interner payload
-    /// (map overhead estimated at two words per distinct value). Used by
-    /// the perf bench's memory report.
+    /// (map overhead estimated at two words per distinct value).
     pub fn heap_bytes(&self) -> usize {
         let cols: usize = self
             .syms

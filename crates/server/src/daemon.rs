@@ -49,6 +49,10 @@ use crate::stats::ShardStats;
 /// (and the response buffers behind it) forever.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// How long the accept loop backs off after a failed `accept()`, so a
+/// persistent condition such as descriptor exhaustion cannot spin it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
 /// How to bind and size a [`Daemon`].
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
@@ -208,26 +212,42 @@ impl Daemon {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner) = Some(handle);
         }
-        let mut connections = Vec::new();
+        let mut connections: Vec<JoinHandle<()>> = Vec::new();
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let (stream, _) = match self.listener.accept() {
-                Ok(conn) => conn,
+            let accepted =
+                crate::faults::hit("daemon.accept").and_then(|()| self.listener.accept());
+            let stream = match accepted {
+                Ok((stream, _)) => stream,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+                // EMFILE, ECONNABORTED and the like concern one pending
+                // connection or a transient resource limit, never the
+                // tenants: leaving here would skip the drain below.
+                Err(e) => {
+                    eprintln!("uniclean serve: accept failed ({e}); retrying");
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                    continue;
+                }
             };
             // A shutdown request self-connects to unblock this accept.
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            // Only live connections are joined at shutdown; reaping here
+            // keeps the list bounded on a long-lived daemon.
+            connections.retain(|c| !c.is_finished());
             let shared = shared.clone();
-            connections.push(
-                std::thread::Builder::new()
-                    .name("uniclean-conn".to_string())
-                    .spawn(move || serve_connection(stream, shared))?,
-            );
+            let spawned = std::thread::Builder::new()
+                .name("uniclean-conn".to_string())
+                .spawn(move || serve_connection(stream, shared));
+            match spawned {
+                Ok(handle) => connections.push(handle),
+                // The failed spawn dropped the stream: only this client
+                // loses its connection.
+                Err(e) => eprintln!("uniclean serve: connection thread failed to start ({e})"),
+            }
         }
         for c in connections {
             let _ = c.join();

@@ -42,8 +42,9 @@
 //! `ingest.post_ack` (shard worker), `snapshot.mid_write`,
 //! `snapshot.pre_rename`, `snapshot.pre_wal_rewrite` (compaction),
 //! `repl.fetch` ([`hit`]) and `repl.fetch.net` ([`net_hit`]) in the
-//! primary's replication fetch handler, and `repl.ack` in its ack
-//! handler.
+//! primary's replication fetch handler, `repl.ack` in its ack
+//! handler, and `daemon.accept` (`error` stands in for a failed
+//! `accept()`) in the daemon's accept loop.
 
 /// How an armed network failpoint mangles the stream (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -22,7 +22,7 @@
 //!    master value and stream many probe texts against it — the shape the
 //!    `MatchScratch` symbol cache in `uniclean-rules` exploits.
 //!
-//! The pre-existing two-row and banded DPs survive in [`reference`] as the
+//! The pre-existing two-row and banded DPs survive in [`reference`](mod@reference) as the
 //! oracle for the differential proptests and the benchmark baseline.
 
 /// Pattern bitmaps (`Peq`) for Myers' algorithm, reusable across texts.

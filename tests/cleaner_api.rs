@@ -1,11 +1,11 @@
 //! The `Cleaner` session API contract: builder misuse surfaces as typed
 //! errors (never panics), the three master sources share one pipeline, the
-//! observer hook streams per-phase stats, and the deprecated entry points
-//! reproduce the session's output exactly.
+//! observer hook streams per-phase stats, and the session reproduces the
+//! paper's Example 1.1.
 
 use std::sync::Arc;
 
-use uniclean::model::{FixMark, Relation, Schema, Tuple, TupleId, Value};
+use uniclean::model::{Relation, Schema, Tuple, TupleId, Value};
 use uniclean::rules::{parse_rules, RuleSet};
 
 mod common;
@@ -182,7 +182,7 @@ fn self_snapshot_with_mismatched_arity_is_a_typed_error() {
 }
 
 // ---------------------------------------------------------------------
-// Equivalence with the paper's results and the deprecated entry points
+// Equivalence with the paper's results
 // ---------------------------------------------------------------------
 
 #[test]
@@ -215,76 +215,6 @@ fn cleaner_reproduces_example_1_1_end_to_end() {
     assert_eq!(get(3, "post"), Value::str("WC1H 9SE"), "ϕ3 fixes t4[post]");
     for a in ["FN", "LN", "St", "city", "AC", "post", "phn"] {
         assert_eq!(get(2, a), get(3, a), "t3/t4 must agree on {a}");
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_uniclean_shim_is_bit_identical_to_the_session() {
-    use uniclean::core::UniClean;
-    let (_, rules, dirty, master) = example_1_1();
-    let cfg = CleanConfig {
-        eta: 0.8,
-        ..CleanConfig::default()
-    };
-
-    let old = UniClean::new(&rules, Some(&master), cfg.clone()).clean(&dirty, Phase::Full);
-    let new = Cleaner::builder()
-        .rules(rules)
-        .master(MasterSource::external(master))
-        .config(cfg)
-        .build()
-        .unwrap()
-        .clean(&dirty, Phase::Full);
-
-    assert_eq!(old.repaired.diff_cells(&new.repaired), 0);
-    assert_eq!(old.report.len(), new.report.len());
-    assert_eq!(old.cost, new.cost);
-    assert_eq!(old.consistent, new.consistent);
-    assert_eq!(old.fix_counts(), new.fix_counts());
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_clean_without_master_is_bit_identical_to_self_snapshot() {
-    use uniclean::core::clean_without_master;
-    // Duplicates of one person inside D (the paper's master-free setting).
-    let tran = Schema::of_strings("tran", &["LN", "city", "AC", "phn"]);
-    let selfm = Schema::of_strings("tranm", &["LN", "city", "AC", "phn"]);
-    let text = "cfd phi2: tran([AC=020] -> [city=Ldn])\n\
-                md psi: tran[LN] = tranm[LN] AND tran[city] = tranm[city] -> tran[phn] <=> tranm[phn]";
-    let parsed = parse_rules(text, &tran, Some(&selfm)).unwrap();
-    let rules = RuleSet::new(
-        tran.clone(),
-        Some(selfm),
-        parsed.cfds,
-        parsed.positive_mds,
-        vec![],
-    );
-    let phn = tran.attr_id_or_panic("phn");
-    let city = tran.attr_id_or_panic("city");
-    let mut a = Tuple::of_strs(&["Brady", "Edi", "020", "3887644"], 1.0);
-    a.set(city, Value::str("Edi"), 0.0, FixMark::Untouched);
-    let mut b = Tuple::of_strs(&["Brady", "Ldn", "020", "0000000"], 1.0);
-    b.set(phn, Value::str("0000000"), 0.0, FixMark::Untouched);
-    let dirty = Relation::new(tran, vec![a, b]);
-    let cfg = CleanConfig {
-        eta: 0.8,
-        ..CleanConfig::default()
-    };
-
-    for phase in [Phase::CRepair, Phase::CERepair, Phase::Full] {
-        let old = clean_without_master(&rules, &dirty, cfg.clone(), phase);
-        let new = Cleaner::builder()
-            .rules(rules.clone())
-            .master(MasterSource::SelfSnapshot)
-            .config(cfg.clone())
-            .build()
-            .unwrap()
-            .clean(&dirty, phase);
-        assert_eq!(old.repaired.diff_cells(&new.repaired), 0, "{phase:?}");
-        assert_eq!(old.report.len(), new.report.len(), "{phase:?}");
-        assert_eq!(old.consistent, new.consistent, "{phase:?}");
     }
 }
 

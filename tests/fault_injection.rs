@@ -19,9 +19,9 @@
 //! snapshot-write failure is retried with backoff and the ingest still
 //! acks; a WAL append failure poisons the tenant (never acks) while the
 //! rest of the daemon — and the tenant itself after a restart — keeps
-//! serving. The `panic` action exercises blast-radius isolation: a
-//! panicking apply poisons one tenant, the daemon and its other tenants
-//! answer on.
+//! serving; a failed `accept()` is logged and retried, never fatal. The
+//! `panic` action exercises blast-radius isolation: a panicking apply
+//! poisons one tenant, the daemon and its other tenants answer on.
 
 #![cfg(feature = "failpoints")]
 
@@ -204,6 +204,11 @@ fn scratch_dir(label: &str) -> PathBuf {
     dir
 }
 
+/// Where [`spawn_armed`] sends the daemon's stderr.
+fn stderr_log(data_dir: &Path) -> PathBuf {
+    data_dir.with_extension("stderr")
+}
+
 /// Spawn the real binary with one armed failpoint; returns the child, a
 /// connected client, and the child's stdout reader (hold it until after
 /// `wait` — dropping the pipe would EPIPE the daemon's shutdown banner).
@@ -223,7 +228,7 @@ fn spawn_armed(
         .args(["--snapshot-every", &snapshot_every.to_string()])
         .env("UNICLEAN_FAILPOINTS", failpoints)
         .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
+        .stderr(std::fs::File::create(stderr_log(data_dir)).expect("create stderr log"))
         .spawn()
         .expect("spawn uniclean serve");
     let stdout = child.stdout.take().unwrap();
@@ -516,4 +521,23 @@ fn panicking_tenant_does_not_take_down_the_daemon() {
     assert_ok(&c.rpc(&obj(vec![("op", Json::str("shutdown"))])));
     drop(c);
     assert!(child.wait().unwrap().success());
+}
+
+/// A failed `accept()` (EMFILE, ECONNABORTED, …) costs at most the
+/// pending connection: the daemon logs it, backs off and keeps serving.
+#[test]
+fn failed_accept_does_not_stop_the_daemon() {
+    let dir = scratch_dir("accept-error");
+    let (mut child, mut c, _stdout) = spawn_armed(&dir, 0, "daemon.accept=error@1");
+    assert_ok(&c.rpc(&open_request("tran")));
+    assert_ok(&c.rpc(&ingest_request("tran", BATCHES[0])));
+    assert_ok(&c.rpc(&obj(vec![("op", Json::str("ping"))])));
+    assert_ok(&c.rpc(&obj(vec![("op", Json::str("shutdown"))])));
+    drop(c);
+    assert!(child.wait().unwrap().success());
+    let log = std::fs::read_to_string(stderr_log(&dir)).expect("read stderr log");
+    assert!(
+        log.contains("failpoint \"daemon.accept\""),
+        "the injected accept error was logged: {log:?}"
+    );
 }
